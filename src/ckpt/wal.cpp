@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstring>
+#include <type_traits>
 #include <utility>
 
 #include "ckpt/state_codec.hpp"
@@ -19,6 +21,10 @@ constexpr std::uint16_t kWalVersion = 1;
 constexpr std::size_t kWalHeaderSize = 26;
 /// payload_len(8) + crc(4).
 constexpr std::size_t kFramePrefixSize = 12;
+/// step(8) + n_sections(4).
+constexpr std::size_t kRecordHeaderSize = 12;
+/// kind(2) + flags(1) + len(8).
+constexpr std::size_t kSectionHeaderSize = 11;
 
 Bytes encode_header(std::uint64_t epoch, std::uint64_t base_step) {
   Bytes out;
@@ -30,11 +36,24 @@ Bytes encode_header(std::uint64_t epoch, std::uint64_t base_step) {
   return out;
 }
 
-/// One decoded (but not yet applied) record section.
+/// Stores `v` as `sizeof(T)` little-endian bytes at `p` (the in-place
+/// counterpart of util::put_le); returns the position after it.
+template <typename T>
+std::uint8_t* store_le(std::uint8_t* p, T v) {
+  static_assert(std::is_trivially_copyable_v<T>);
+  std::memcpy(p, &v, sizeof(T));
+  return p + sizeof(T);
+}
+
+/// One record section, viewed in place inside the journal bytes.
 struct RecordSection {
   SectionKind kind;
   std::uint8_t flags;
-  Bytes payload;
+  ByteSpan payload;
+
+  [[nodiscard]] bool is_delta() const {
+    return (flags & kSectionFlagDelta) != 0;
+  }
 };
 
 struct Record {
@@ -42,28 +61,54 @@ struct Record {
   std::vector<RecordSection> sections;
 };
 
-/// Parses a CRC-validated frame payload; throws std::out_of_range /
-/// std::runtime_error on malformed contents (treated as a torn tail by
-/// the callers — a valid CRC over garbage means the writer never wrote
-/// it, so the bytes past the previous frame are not a record).
-Record parse_record(ByteSpan payload) {
-  Record rec;
+/// Parses a CRC-validated frame payload into `rec`, whose sections view
+/// `payload` (nothing is copied; `rec.sections` keeps its capacity from
+/// record to record). Throws std::out_of_range / std::runtime_error on
+/// malformed contents (treated as a torn tail by the callers — a valid
+/// CRC over garbage means the writer never wrote it, so the bytes past
+/// the previous frame are not a record).
+void parse_record(ByteSpan payload, Record& rec) {
   std::size_t off = 0;
   rec.step = util::get_le<std::uint64_t>(payload, off);
   const auto n = util::get_le<std::uint32_t>(payload, off);
-  rec.sections.reserve(n);
+  rec.sections.clear();
   for (std::uint32_t i = 0; i < n; ++i) {
-    RecordSection s;
-    s.kind =
+    const auto kind =
         static_cast<SectionKind>(util::get_le<std::uint16_t>(payload, off));
-    s.flags = util::get_le<std::uint8_t>(payload, off);
-    s.payload = util::get_bytes(payload, off);
-    rec.sections.push_back(std::move(s));
+    const auto flags = util::get_le<std::uint8_t>(payload, off);
+    const auto len = util::get_le<std::uint64_t>(payload, off);
+    if (len > payload.size() - off) {
+      throw std::out_of_range("wal record: section underrun");
+    }
+    rec.sections.push_back({kind, flags, payload.subspan(off, len)});
+    off += len;
   }
   if (off != payload.size()) {
     throw std::runtime_error("wal record: trailing bytes");
   }
-  return rec;
+}
+
+/// Whole-record check against the running state, made before any
+/// section lands so that a record applies in full or not at all: every
+/// delta needs an equal-sized base, and no kind may appear twice (its
+/// second section would be checked against a base the first replaces).
+bool applicable(const Record& rec,
+                const std::map<SectionKind, Bytes>& sections) {
+  for (std::size_t i = 0; i < rec.sections.size(); ++i) {
+    const RecordSection& s = rec.sections[i];
+    for (std::size_t j = 0; j < i; ++j) {
+      if (rec.sections[j].kind == s.kind) {
+        return false;
+      }
+    }
+    if (s.is_delta()) {
+      const auto base = sections.find(s.kind);
+      if (base == sections.end() || base->second.size() != s.payload.size()) {
+        return false;
+      }
+    }
+  }
+  return true;
 }
 
 /// Shared frame walk for scan/replay: validates the header, then calls
@@ -94,6 +139,7 @@ std::optional<WalScan> walk_wal(io::Env& env, const std::string& dir,
   scan.base_step = base_step;
   scan.last_step = base_step;
   scan.valid_bytes = kWalHeaderSize;
+  Record rec;
   while (off + kFramePrefixSize <= bytes.size()) {
     std::size_t frame_off = off;
     const auto payload_len = util::get_le<std::uint64_t>(bytes, frame_off);
@@ -106,9 +152,8 @@ std::optional<WalScan> walk_wal(io::Env& env, const std::string& dir,
         util::crc32c(payload, util::crc32c(bytes.subspan(off, 8)))) {
       break;  // torn or corrupt frame
     }
-    Record rec;
     try {
-      rec = parse_record(payload);
+      parse_record(payload, rec);
     } catch (const std::exception&) {
       break;  // CRC-valid but malformed: not something the writer framed
     }
@@ -158,28 +203,21 @@ std::optional<WalScan> scan_wal(io::Env& env, const std::string& dir,
 std::optional<WalReplay> replay_wal(io::Env& env, const std::string& dir,
                                     std::uint64_t epoch,
                                     std::map<SectionKind, Bytes>& sections) {
-  std::map<SectionKind, Bytes> resolved = sections;
   std::uint64_t applied = 0;
   std::uint64_t step = 0;
   const auto scan =
       walk_wal(env, dir, epoch, [&](const Record& rec) {
-        // Validate the whole record against the running state before
-        // committing any section of it: records apply atomically.
-        for (const RecordSection& s : rec.sections) {
-          if ((s.flags & kSectionFlagDelta) != 0) {
-            const auto base = resolved.find(s.kind);
-            if (base == resolved.end() ||
-                base->second.size() != s.payload.size()) {
-              return false;
-            }
-          }
+        if (!applicable(rec, sections)) {
+          return false;
         }
+        // In place: a delta XORs its base buffer, a raw section reuses
+        // its destination's capacity.
         for (const RecordSection& s : rec.sections) {
-          if ((s.flags & kSectionFlagDelta) != 0) {
-            resolved[s.kind] =
-                codec::xor_with_parent(s.payload, resolved[s.kind]);
+          Bytes& dst = sections[s.kind];
+          if (s.is_delta()) {
+            codec::xor_into(dst, s.payload, dst);
           } else {
-            resolved[s.kind] = s.payload;
+            dst.assign(s.payload.begin(), s.payload.end());
           }
         }
         ++applied;
@@ -187,9 +225,8 @@ std::optional<WalReplay> replay_wal(io::Env& env, const std::string& dir,
         return true;
       });
   if (!scan || applied == 0) {
-    return std::nullopt;
+    return std::nullopt;  // nothing applied: `sections` is untouched
   }
-  sections = std::move(resolved);
   return WalReplay{applied, step, scan->torn_bytes};
 }
 
@@ -225,33 +262,42 @@ WalWriter::~WalWriter() {
 }
 
 void WalWriter::log_step(const qnn::TrainingState& state) {
-  Bytes payload;
-  util::put_le<std::uint64_t>(payload, state.step);
   auto sections =
       state_to_sections(state, include_simulator_, codec::CodecId::kRaw);
-  util::put_le<std::uint32_t>(payload,
-                              static_cast<std::uint32_t>(sections.size()));
+  // Size the record first, then frame it in one pass: prefix, record
+  // header and every section (XOR delta or raw) go straight into the
+  // reused frame buffer; the CRC is patched in last.
+  std::uint64_t payload_len = kRecordHeaderSize;
+  for (const Section& s : sections) {
+    payload_len += kSectionHeaderSize + s.payload.size();
+  }
+  frame_.resize(kFramePrefixSize + payload_len);
+  std::uint8_t* p = store_le<std::uint64_t>(frame_.data(), payload_len);
+  p += 4;  // crc32c, patched below
+  p = store_le<std::uint64_t>(p, state.step);
+  p = store_le<std::uint32_t>(p, static_cast<std::uint32_t>(sections.size()));
   for (Section& s : sections) {
-    std::uint8_t flags = 0;
     const auto base = last_raw_.find(s.kind);
-    if (base != last_raw_.end() && base->second.size() == s.payload.size()) {
-      Bytes delta = codec::xor_with_parent(s.payload, base->second);
+    const bool delta =
+        base != last_raw_.end() && base->second.size() == s.payload.size();
+    p = store_le<std::uint16_t>(p, static_cast<std::uint16_t>(s.kind));
+    p = store_le<std::uint8_t>(p, delta ? kSectionFlagDelta : 0);
+    p = store_le<std::uint64_t>(p, s.payload.size());
+    if (delta) {
+      codec::xor_into({p, s.payload.size()}, s.payload, base->second);
+      p += s.payload.size();
       base->second = std::move(s.payload);
-      s.payload = std::move(delta);
-      flags |= kSectionFlagDelta;
     } else {
       // Size changed (e.g. a growing loss history): log raw.
-      last_raw_[s.kind] = s.payload;
+      p = std::copy(s.payload.begin(), s.payload.end(), p);
+      last_raw_[s.kind] = std::move(s.payload);
     }
-    util::put_le<std::uint16_t>(payload, static_cast<std::uint16_t>(s.kind));
-    util::put_le<std::uint8_t>(payload, flags);
-    util::put_bytes(payload, s.payload);
   }
-  Bytes frame;
-  util::put_le<std::uint64_t>(frame, payload.size());
-  util::put_le<std::uint32_t>(frame,
-                              util::crc32c(payload, util::crc32c(frame)));
-  frame.insert(frame.end(), payload.begin(), payload.end());
+  const ByteSpan frame(frame_);
+  store_le<std::uint32_t>(
+      frame_.data() + 8,
+      util::crc32c(frame.subspan(kFramePrefixSize),
+                   util::crc32c(frame.first(8))));
   out_->append(frame);  // one append = one crash-atomic frame boundary
   bytes_ += frame.size();
   ++records_;

@@ -97,8 +97,9 @@ struct WalReplay {
 /// Redo-only replay: folds every fully-framed record of
 /// `dir`/wal-<epoch>.qwal into `sections` (the base checkpoint's
 /// resolved raw payloads keyed by kind), stopping at the first torn or
-/// CRC-invalid frame. Records are applied atomically: a record that
-/// parses but cannot apply (a delta with no equal-sized base) stops the
+/// CRC-invalid frame. Records are applied in place and atomically: each
+/// record is checked whole first, and one that parses but cannot apply
+/// (a delta with no equal-sized base, or a kind named twice) stops the
 /// replay without touching `sections`. Returns nullopt — with `sections`
 /// untouched — when there is no usable journal or it holds zero valid
 /// records.
@@ -147,6 +148,9 @@ class WalWriter {
   std::unique_ptr<io::WritableFile> out_;
   /// Previous record's resolved raw payloads (XOR-delta bases).
   std::map<SectionKind, Bytes> last_raw_;
+  /// Frame buffer reused across records: log_step frames each record
+  /// here in one pass, so its capacity is bounded by the largest record.
+  Bytes frame_;
   std::uint64_t records_ = 0;
   std::uint64_t bytes_ = 0;
   std::uint64_t syncs_ = 0;

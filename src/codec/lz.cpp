@@ -110,8 +110,14 @@ Bytes lz_decode(ByteSpan encoded, std::size_t raw_len) {
   std::size_t pos = 0;
   while (true) {
     const std::uint64_t lits = util::get_varint(encoded, pos);
-    if (pos + lits > encoded.size()) {
+    if (lits > encoded.size() - pos) {
       throw std::runtime_error("lz_decode: truncated literals");
+    }
+    // Every length is checked against the room left in the declared
+    // output before anything is copied, so a forged length can neither
+    // allocate nor spin past raw_len.
+    if (lits > raw_len - out.size()) {
+      throw std::runtime_error("lz_decode: output exceeds declared length");
     }
     out.insert(out.end(), encoded.begin() + static_cast<std::ptrdiff_t>(pos),
                encoded.begin() + static_cast<std::ptrdiff_t>(pos + lits));
@@ -120,6 +126,10 @@ Bytes lz_decode(ByteSpan encoded, std::size_t raw_len) {
     const std::uint64_t match_code = util::get_varint(encoded, pos);
     if (match_code == 0) {
       break;
+    }
+    const std::uint64_t room = raw_len - out.size();
+    if (match_code > room || match_code + kMinMatch - 1 > room) {
+      throw std::runtime_error("lz_decode: output exceeds declared length");
     }
     const std::uint64_t len = match_code + kMinMatch - 1;
     const std::uint64_t dist = util::get_varint(encoded, pos);
@@ -131,9 +141,6 @@ Bytes lz_decode(ByteSpan encoded, std::size_t raw_len) {
     std::size_t src = out.size() - dist;
     for (std::uint64_t k = 0; k < len; ++k) {
       out.push_back(out[src + k]);
-    }
-    if (out.size() > raw_len) {
-      throw std::runtime_error("lz_decode: output exceeds declared length");
     }
   }
   if (out.size() != raw_len) {

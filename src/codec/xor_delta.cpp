@@ -1,6 +1,8 @@
 #include "codec/xor_delta.hpp"
 
+#include <algorithm>
 #include <cstring>
+#include <stdexcept>
 
 #if defined(__SSE2__)
 #include <emmintrin.h>
@@ -49,30 +51,45 @@ Bytes xor_undelta64_scalar(ByteSpan data) {
 
 // --- vectorized defaults ---------------------------------------------------
 
-Bytes xor_with_parent(ByteSpan data, ByteSpan parent) {
-  Bytes out(data.begin(), data.end());
-  const std::size_t n = std::min(out.size(), parent.size());
+void xor_into(std::span<std::uint8_t> out, ByteSpan data, ByteSpan parent) {
+  if (out.size() != data.size()) {
+    throw std::invalid_argument("xor_into: out and data sizes differ");
+  }
+  const std::size_t n = std::min(data.size(), parent.size());
+  std::uint8_t* o = out.data();
+  const std::uint8_t* a = data.data();
+  const std::uint8_t* b = parent.data();
+  // Every step loads both inputs before it stores, so `out` may be the
+  // very buffer `data` or `parent` points at.
   std::size_t i = 0;
 #if defined(__SSE2__)
   for (; i + 16 <= n; i += 16) {
-    const __m128i a =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(out.data() + i));
-    const __m128i b =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(parent.data() + i));
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(out.data() + i),
-                     _mm_xor_si128(a, b));
+    const __m128i va =
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(a + i));
+    const __m128i vb =
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(b + i));
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(o + i),
+                     _mm_xor_si128(va, vb));
   }
 #endif
   for (; i + 8 <= n; i += 8) {
-    std::uint64_t a, b;
-    std::memcpy(&a, out.data() + i, 8);
-    std::memcpy(&b, parent.data() + i, 8);
-    a ^= b;
-    std::memcpy(out.data() + i, &a, 8);
+    std::uint64_t va, vb;
+    std::memcpy(&va, a + i, 8);
+    std::memcpy(&vb, b + i, 8);
+    va ^= vb;
+    std::memcpy(o + i, &va, 8);
   }
   for (; i < n; ++i) {
-    out[i] ^= parent[i];
+    o[i] = static_cast<std::uint8_t>(a[i] ^ b[i]);
   }
+  if (o != a && data.size() > n) {
+    std::memmove(o + n, a + n, data.size() - n);  // tail passes through
+  }
+}
+
+Bytes xor_with_parent(ByteSpan data, ByteSpan parent) {
+  Bytes out(data.size());
+  xor_into(out, data, parent);
   return out;
 }
 

@@ -236,6 +236,24 @@ TEST(Lz, DecodeRejectsOverlongOutput) {
   EXPECT_THROW(lz_decode(enc, 100), std::runtime_error);
 }
 
+TEST(Lz, DecodeRejectsOverlongMatchBeforeCopying) {
+  // A 2^40-byte match against a 5-byte output: the length must be
+  // rejected before the copy loop runs, not after it has allocated.
+  Bytes enc;
+  util::put_varint(enc, 1);
+  enc.push_back('x');
+  util::put_varint(enc, std::uint64_t{1} << 40);
+  util::put_varint(enc, 1);
+  EXPECT_THROW(lz_decode(enc, 5), std::runtime_error);
+
+  // The same bound holds for a literal run longer than the output.
+  Bytes lits;
+  util::put_varint(lits, 8);
+  lits.insert(lits.end(), 8, 'y');
+  util::put_varint(lits, 0);
+  EXPECT_THROW(lz_decode(lits, 5), std::runtime_error);
+}
+
 TEST(Lz, WindowBoundaryRoundTrip) {
   // Repetition spaced near the 64 KiB window edge.
   Bytes data = incompressible(1 << 16, 20);
@@ -381,6 +399,30 @@ TEST(SimdParity, XorWithParentMatchesScalarOnMismatchedLengths) {
               xor_with_parent_scalar(data, parent))
         << "trial " << trial;
   }
+}
+
+TEST(XorDelta, IntoMayAliasDataOrParent) {
+  // Odd length: exercises the 16-byte, 8-byte and byte tails.
+  const Bytes data = incompressible(1003, 40);
+  const Bytes parent = incompressible(1003, 41);
+  const Bytes expect = xor_with_parent_scalar(data, parent);
+
+  Bytes into_data = data;
+  xor_into(into_data, into_data, parent);
+  EXPECT_EQ(into_data, expect);
+
+  Bytes into_parent = parent;
+  xor_into(into_parent, data, into_parent);
+  EXPECT_EQ(into_parent, expect);
+
+  // A shorter parent: the tail of `data` passes through.
+  const Bytes short_parent(parent.begin(), parent.begin() + 37);
+  Bytes separate(data.size(), 0);
+  xor_into(separate, data, short_parent);
+  EXPECT_EQ(separate, xor_with_parent_scalar(data, short_parent));
+
+  Bytes wrong_size(data.size() - 1);
+  EXPECT_THROW(xor_into(wrong_size, data, parent), std::invalid_argument);
 }
 
 // ---------- registry ----------

@@ -1,5 +1,6 @@
 // Tests for the WAL-style delta journal (ckpt/wal.hpp): file naming,
-// frame round trips, torn-tail truncation at every byte, group commit,
+// frame round trips, pinned journal bytes, torn-tail truncation at every
+// byte, whole-record atomicity of in-place replay, group commit,
 // idempotent redo-only replay, Checkpointer integration (logging,
 // budget-driven compaction, rotation), and stale-log reaping.
 #include <gtest/gtest.h>
@@ -13,8 +14,10 @@
 #include "ckpt/state_codec.hpp"
 #include "ckpt/store.hpp"
 #include "ckpt/wal.hpp"
+#include "codec/xor_delta.hpp"
 #include "io/mem_env.hpp"
 #include "qnn/ansatz.hpp"
+#include "util/crc.hpp"
 #include "util/strings.hpp"
 
 namespace qnn::ckpt {
@@ -138,6 +141,103 @@ TEST(Wal, ScanRejectsMissingTornOrMislabeledHeaders) {
   EXPECT_FALSE(scan_wal(env, "cp", 1).has_value());
 }
 
+// ---------- golden journal bytes ----------
+//
+// A 3-record journal, pinned byte for byte. Its records cover XOR-delta
+// sections (meta, params, optimizer, rng and cursor keep their sizes)
+// and a raw section whose size changes every step (the growing loss
+// history). A writer change that shifts one byte of the on-disk journal
+// fails here; journals already on disk must keep replaying, so the hex
+// changes only with an intentional format change (and kWalVersion).
+
+qnn::TrainingState tiny_state(std::uint64_t step) {
+  qnn::TrainingState s;
+  s.step = step;
+  s.params = {0.25 * static_cast<double>(step), -1.5};
+  s.optimizer_name = "sgd";
+  s.optimizer_state = {1, 2, static_cast<std::uint8_t>(step), 4};
+  s.rng_state = {9, 8, 7, static_cast<std::uint8_t>(step)};
+  s.loss_history.assign(step, 0.5);
+  s.epoch = step / 4;
+  s.cursor = step % 4;
+  s.permutation = {1, 0};
+  s.workload_tag = "t";
+  return s;
+}
+
+/// wal-0000000005.qwal: base step 2, records for steps 3, 4 and 5.
+const std::string kGoldenJournalHex =
+    "5157414c0100050000000000000002000000000000002e3a18c7d60000000000"
+    "00006f99a6d10300000000000000060000000000013800000000000000000000"
+    "0000000000000000000000000000000000000000000100000000000000000000"
+    "0000000000010000000000000000000000000000000100011800000000000000"
+    "0000000000000000000000000000080000000000000000000200010400000000"
+    "0000000000010003000104000000000000000000000104000110000000000000"
+    "0000000000000000000000000000000000050000200000000000000003000000"
+    "00000000000000000000e03f000000000000e03f000000000000e03fde000000"
+    "000000009885db39040000000000000006000000000001380000000000000000"
+    "0000000000000000000000000000000000000000000000070000000000000001"
+    "0000000000000003000000000000000000000000000000010001180000000000"
+    "0000000000000000000000000000000018000000000000000000020001040000"
+    "0000000000000007000300010400000000000000000000070400011000000000"
+    "0000000000000000000000000000000000000005000028000000000000000400"
+    "000000000000000000000000e03f000000000000e03f000000000000e03f0000"
+    "00000000e03fe600000000000000bcda19b10500000000000000060000000000"
+    "0138000000000000000000000000000000000000000000000000000000000000"
+    "0001000000000000000000000000000000010000000000000000000000000000"
+    "0001000118000000000000000000000000000000000000000000040000000000"
+    "0000000002000104000000000000000000010003000104000000000000000000"
+    "0001040001100000000000000000000000000000000000000000000000050000"
+    "30000000000000000500000000000000000000000000e03f000000000000e03f"
+    "000000000000e03f000000000000e03f000000000000e03f";
+
+TEST(WalGolden, WriterEmitsPinnedBytes) {
+  io::MemEnv env;
+  WalWriter w(env, "cp", 5, WalPolicy{}, tiny_state(2), false);
+  for (std::uint64_t step = 3; step <= 5; ++step) {
+    w.log_step(tiny_state(step));
+  }
+  w.close();
+  const auto data = env.read_file("cp/" + wal_file_name(5));
+  ASSERT_TRUE(data.has_value());
+  EXPECT_EQ(util::to_hex(*data), kGoldenJournalHex);
+}
+
+TEST(WalGolden, PinnedJournalCoversDeltaAndResizedRawSections) {
+  // Walk the first record's section headers: the fixture must hold both
+  // section shapes the writer emits.
+  const Bytes journal = util::from_hex(kGoldenJournalHex);
+  std::size_t off = 26 + 12 + 8;  // header, frame prefix, step
+  const auto n = util::get_le<std::uint32_t>(journal, off);
+  std::map<SectionKind, std::uint8_t> flags;
+  for (std::uint32_t i = 0; i < n; ++i) {
+    const auto kind =
+        static_cast<SectionKind>(util::get_le<std::uint16_t>(journal, off));
+    flags[kind] = util::get_le<std::uint8_t>(journal, off);
+    off += util::get_le<std::uint64_t>(journal, off);
+  }
+  EXPECT_EQ(flags.at(SectionKind::kParams), kSectionFlagDelta);
+  EXPECT_EQ(flags.at(SectionKind::kLossHistory), 0u);
+}
+
+TEST(WalGolden, PinnedJournalReplays) {
+  io::MemEnv env;
+  env.write_file_atomic("cp/" + wal_file_name(5),
+                        util::from_hex(kGoldenJournalHex));
+  const auto scan = scan_wal(env, "cp", 5);
+  ASSERT_TRUE(scan.has_value());
+  EXPECT_EQ(scan->base_step, 2u);
+  EXPECT_EQ(scan->records, 3u);
+  EXPECT_EQ(scan->torn_bytes, 0u);
+
+  auto sections = raw_sections(tiny_state(2));
+  const auto replay = replay_wal(env, "cp", 5, sections);
+  ASSERT_TRUE(replay.has_value());
+  EXPECT_EQ(replay->records_applied, 3u);
+  EXPECT_EQ(replay->step, 5u);
+  EXPECT_EQ(state_of(sections), tiny_state(5));
+}
+
 // ---------- torn tails ----------
 
 TEST(Wal, TruncationAtEveryByteReplaysLongestValidPrefix) {
@@ -235,6 +335,103 @@ TEST(Wal, InapplicableRecordStopsReplayWithoutPartialApply) {
   const auto before = mismatched;
   EXPECT_FALSE(replay_wal(env, "cp", 9, mismatched).has_value());
   EXPECT_EQ(mismatched, before);
+}
+
+// ---------- hand-framed journals ----------
+
+struct HandSection {
+  SectionKind kind;
+  bool delta;
+  Bytes payload;
+};
+
+/// A record payload exactly as the writer lays it out.
+Bytes record_payload(std::uint64_t step,
+                     const std::vector<HandSection>& sections) {
+  Bytes out;
+  util::put_le<std::uint64_t>(out, step);
+  util::put_le<std::uint32_t>(out,
+                              static_cast<std::uint32_t>(sections.size()));
+  for (const HandSection& s : sections) {
+    util::put_le<std::uint16_t>(out, static_cast<std::uint16_t>(s.kind));
+    util::put_le<std::uint8_t>(out, s.delta ? kSectionFlagDelta : 0);
+    util::put_bytes(out, s.payload);
+  }
+  return out;
+}
+
+/// A CRC-valid journal: header plus one frame per record payload.
+Bytes frame_journal(std::uint64_t epoch, std::uint64_t base_step,
+                    const std::vector<Bytes>& payloads) {
+  Bytes out = {'Q', 'W', 'A', 'L'};
+  util::put_le<std::uint16_t>(out, 1);
+  util::put_le<std::uint64_t>(out, epoch);
+  util::put_le<std::uint64_t>(out, base_step);
+  util::put_le<std::uint32_t>(out, util::crc32c(out));
+  for (const Bytes& payload : payloads) {
+    Bytes len;
+    util::put_le<std::uint64_t>(len, payload.size());
+    out.insert(out.end(), len.begin(), len.end());
+    util::put_le<std::uint32_t>(out,
+                                util::crc32c(payload, util::crc32c(len)));
+    out.insert(out.end(), payload.begin(), payload.end());
+  }
+  return out;
+}
+
+TEST(Wal, PartlyApplicableRecordLeavesStateOfPreviousRecord) {
+  io::MemEnv env;
+  const auto base = raw_sections(make_state(50));
+  const auto after1 = raw_sections(make_state(51));
+  const auto next = raw_sections(make_state(52));
+
+  // Record 1 carries all of step 51: deltas where sizes hold, raw
+  // otherwise (the loss history grew).
+  std::vector<HandSection> rec1;
+  for (const auto& [kind, payload] : after1) {
+    const bool delta = base.at(kind).size() == payload.size();
+    rec1.push_back({kind, delta,
+                    delta ? codec::xor_with_parent(payload, base.at(kind))
+                          : payload});
+  }
+  // Record 2: an applicable params delta first, then an optimizer delta
+  // one word short of its base. In-place replay must check the whole
+  // record before it XORs the params.
+  const Bytes& opt = after1.at(SectionKind::kOptimizer);
+  const std::vector<HandSection> rec2 = {
+      {SectionKind::kParams, true,
+       codec::xor_with_parent(next.at(SectionKind::kParams),
+                              after1.at(SectionKind::kParams))},
+      {SectionKind::kOptimizer, true, Bytes(opt.size() - 8, 0x5a)},
+  };
+  env.write_file_atomic(
+      "cp/" + wal_file_name(4),
+      frame_journal(4, 50,
+                    {record_payload(51, rec1), record_payload(52, rec2)}));
+  // Both frames are well formed: the stop comes from applicability.
+  ASSERT_EQ(scan_wal(env, "cp", 4)->records, 2u);
+
+  auto sections = base;
+  const auto replay = replay_wal(env, "cp", 4, sections);
+  ASSERT_TRUE(replay.has_value());
+  EXPECT_EQ(replay->records_applied, 1u);
+  EXPECT_EQ(replay->step, 51u);
+  EXPECT_EQ(sections, after1);
+}
+
+TEST(Wal, RecordNamingAKindTwiceIsInapplicable) {
+  io::MemEnv env;
+  const auto base = raw_sections(make_state(60));
+  const Bytes& params = base.at(SectionKind::kParams);
+  const std::vector<HandSection> rec = {
+      {SectionKind::kParams, true, Bytes(params.size(), 0x11)},
+      {SectionKind::kParams, true, Bytes(params.size(), 0x22)},
+  };
+  env.write_file_atomic("cp/" + wal_file_name(6),
+                        frame_journal(6, 60, {record_payload(61, rec)}));
+  auto sections = base;
+  EXPECT_FALSE(replay_wal(env, "cp", 6, sections).has_value());
+  EXPECT_EQ(sections, base);
 }
 
 // ---------- replay is idempotent ----------
